@@ -45,6 +45,8 @@ def drive_steps(
     table_rows: int = 100_000,
     seed: int = 13,
     trigger: Optional[TriggerPolicy] = None,
+    readers: int = 0,
+    reads_per_reader: int = 0,
 ) -> StepDriverResult:
     """Run *steps* scheduler steps over a closed client population.
 
@@ -59,6 +61,16 @@ def drive_steps(
     the policy fires (requests accumulate otherwise, recorded as an
     empty batch).  The default keeps the historical fire-every-
     iteration behavior.
+
+    ``readers`` long-lived reader transactions start out holding
+    ``reads_per_reader`` read locks each (on objects from
+    ``table_rows`` up, which no client touches) and never finish, so
+    history stays deep while the short transactions commit and are
+    pruned.  Their reads are recorded as already executed, and observed
+    by the protocol as the scheduler would have, before the first step.
+    With readers, client ``k``'s first transaction is cut to
+    ``k % (ops_per_txn + 1)`` statements, so the clients commit on
+    different steps instead of all on the same one.
     """
     rng = random.Random(seed)
     scheduler = DeclarativeScheduler(
@@ -68,15 +80,34 @@ def drive_steps(
     )
     next_id = 1
     next_ta = clients + 1
+    held: list[Request] = []
+    for reader in range(readers):
+        for intrata in range(reads_per_reader):
+            obj = table_rows + reader * reads_per_reader + intrata
+            held.append(
+                Request(next_id, next_ta + reader, intrata, Operation.READ, obj)
+            )
+            next_id += 1
+    if held:
+        scheduler.history.record_batch(held)
+        protocol.observe_executed(held)
+    next_ta += readers
 
     class _State:
-        __slots__ = ("ta", "done")
+        __slots__ = ("ta", "done", "length")
 
-        def __init__(self, ta: int) -> None:
+        def __init__(self, ta: int, length: int) -> None:
             self.ta = ta
             self.done = 0
+            self.length = length
 
-    states = [_State(client + 1) for client in range(clients)]
+    states = [
+        _State(
+            client + 1,
+            client % (ops_per_txn + 1) if readers else ops_per_txn,
+        )
+        for client in range(clients)
+    ]
     state_of_ta = {state.ta: state for state in states}
     outstanding: set[int] = set()  # tas with a pending request
 
@@ -87,7 +118,7 @@ def drive_steps(
         for state in states:
             if state.ta in outstanding:
                 continue  # previous request still pending (blocked)
-            if state.done >= ops_per_txn:
+            if state.done >= state.length:
                 request = Request(
                     next_id, state.ta, state.done, Operation.COMMIT, NO_OBJECT
                 )
@@ -118,6 +149,7 @@ def drive_steps(
             if request.operation is Operation.COMMIT:
                 state.ta = next_ta
                 state.done = 0
+                state.length = ops_per_txn
                 next_ta += 1
             else:
                 state.done += 1

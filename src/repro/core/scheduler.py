@@ -537,17 +537,7 @@ class DeclarativeScheduler:
         synthesize an ``a`` request into history, releasing its logical
         locks.  Returns the synthesized abort request (negative id —
         scheduler-originated, never colliding with workload ids)."""
-        ta_pos = self.pending.table.schema.resolve("ta")
-        id_pos = self.pending.table.schema.resolve("id")
-        doomed_ids = [
-            row[id_pos]
-            for row in self.pending.table.rows
-            if row[ta_pos] == ta
-        ]
-        if doomed_ids:
-            self.pending.table.delete_where(lambda row: row[ta_pos] == ta)
-            for request_id in doomed_ids:
-                self.pending.table.attrs_by_id.pop(request_id, None)
+        doomed_ids = self.pending.remove_transaction(ta)
         abort = Request(
             id=next(self._abort_ids),
             ta=ta,

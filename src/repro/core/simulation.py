@@ -631,17 +631,9 @@ class MiddlewareSimulation:
             first_pending_since.pop(ta, None)
             # Remove the transaction's pending request(s) and record an
             # abort so held (logical) locks are released.
-            ta_pos = scheduler.pending.table.schema.resolve("ta")
-            id_pos = scheduler.pending.table.schema.resolve("id")
-            doomed_ids = [
-                row[id_pos]
-                for row in scheduler.pending.table.rows
-                if row[ta_pos] == ta
-            ]
-            scheduler.pending.table.delete_where(lambda row: row[ta_pos] == ta)
+            doomed_ids = scheduler.pending.remove_transaction(ta)
             for request_id in doomed_ids:
                 submit_times.pop(request_id, None)
-                scheduler.pending.table.attrs_by_id.pop(request_id, None)
             abort = Request(
                 id=next(id_counter),
                 ta=ta,

@@ -68,7 +68,7 @@ from repro.relalg.query import (
 )
 from repro.relalg.relation import Relation
 from repro.relalg.schema import Column, Schema
-from repro.relalg.table import Table
+from repro.relalg.table import Table, row_projector
 
 #: A signed multiset of rows: +n inserts, -n retracts.  Zero-count
 #: entries are never stored.
@@ -140,15 +140,6 @@ def _key_of(positions: Sequence[int]) -> Callable[[tuple], Any]:
         return lambda row: ()
     if len(positions) == 1:
         return operator.itemgetter(positions[0])
-    return operator.itemgetter(*positions)
-
-
-def _row_projector(positions: Sequence[int]) -> Callable[[tuple], tuple]:
-    if len(positions) == 1:
-        p = positions[0]
-        return lambda row: (row[p],)
-    if not positions:
-        return lambda row: ()
     return operator.itemgetter(*positions)
 
 
@@ -236,7 +227,7 @@ class DProject(DeltaNode):
 
     def __init__(self, schema: Schema, positions: Sequence[int]) -> None:
         self.schema = schema
-        self.projector = _row_projector(positions)
+        self.projector = row_projector(positions)
 
     def apply(self, slots: list[Optional[Delta]]) -> Delta:
         projector = self.projector

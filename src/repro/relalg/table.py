@@ -9,6 +9,7 @@ and maintain optional hash indexes used by index-nested-loop joins.
 
 from __future__ import annotations
 
+import operator
 import weakref
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
@@ -50,17 +51,26 @@ class DeltaCursor:
         return self.table._take_since(self)
 
 
+def row_projector(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """Tuple-producing projector (itemgetter except for arity 1/0)."""
+    if len(positions) == 1:
+        p = positions[0]
+        return lambda row: (row[p],)
+    if not positions:
+        return lambda row: ()
+    return operator.itemgetter(*positions)
+
+
 class HashIndex:
     """Equality hash index over one or more columns of a table."""
 
-    __slots__ = ("positions", "buckets")
+    __slots__ = ("positions", "buckets", "key_of")
 
     def __init__(self, positions: Sequence[int]) -> None:
         self.positions = tuple(positions)
         self.buckets: dict[tuple, list[tuple]] = {}
-
-    def key_of(self, row: tuple) -> tuple:
-        return tuple(row[p] for p in self.positions)
+        # Every insert and delete computes one key per index.
+        self.key_of = row_projector(self.positions)
 
     def add(self, row: tuple) -> None:
         self.buckets.setdefault(self.key_of(row), []).append(row)
@@ -158,10 +168,7 @@ class Table:
             (removed if predicate(row) else kept).append(row)
         if removed:
             self._rows = kept
-            if self._log_enabled:
-                self._log.extend((False, row) for row in removed)
-                self._maybe_compact_log()
-            self._reindex()
+            self._note_removed(removed)
         return len(removed)
 
     def delete_rows(self, rows: Iterable[tuple]) -> int:
@@ -172,22 +179,36 @@ class Table:
         if not to_remove:
             return 0
         kept: list[tuple] = []
-        removed = 0
+        removed: list[tuple] = []
         for row in self._rows:
             pending = to_remove.get(row, 0)
             if pending > 0:
                 to_remove[row] = pending - 1
-                removed += 1
-                if self._log_enabled:
-                    self._log.append((False, row))
+                removed.append(row)
             else:
                 kept.append(row)
         if removed:
             self._rows = kept
-            self._reindex()
-            if self._log_enabled:
-                self._maybe_compact_log()
-        return removed
+            self._note_removed(removed)
+        return len(removed)
+
+    def _note_removed(self, removed: list[tuple]) -> None:
+        """Journal and unindex *removed* (given in table order) in place.
+
+        A bucket is the table-order subsequence of its key's rows and
+        ``HashIndex.remove`` drops the first equal copy, so removing in
+        table order leaves every bucket exactly as a rebuild over the
+        remaining rows would order it — ``_IndexBuild`` joins and
+        ``gate_program_order`` read buckets directly.  Cost: one
+        ``list.remove`` per removed row and index instead of re-adding
+        every surviving row; each shifts the rest of its bucket, so
+        emptying one very large bucket is quadratic in its size."""
+        if self._log_enabled:
+            self._log.extend((False, row) for row in removed)
+            self._maybe_compact_log()
+        for index in self._indexes.values():
+            for row in removed:
+                index.remove(row)
 
     def clear(self) -> None:
         self._rows.clear()
@@ -358,12 +379,6 @@ class Table:
             for row in self._rows
             if tuple(row[p] for p in positions) == key_t
         ]
-
-    def _reindex(self) -> None:
-        for index in self._indexes.values():
-            index.clear()
-            for row in self._rows:
-                index.add(row)
 
     # -- reading ----------------------------------------------------------
 

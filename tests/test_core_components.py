@@ -11,6 +11,7 @@ from repro.model.request import (
     RequestAttributes,
     TransactionStatus,
 )
+from repro.relalg.table import HashIndex
 
 from tests.conftest import request
 
@@ -116,6 +117,24 @@ class TestPendingStore:
         bare = request(99, 1, 0, "r", 5)
         assert store.rehydrate(bare) is bare
 
+    def test_remove_transaction_returns_ids_in_table_order(self):
+        store = PendingStore()
+        store.insert_batch(
+            [
+                Request(
+                    1, 1, 0, Operation.READ, 5,
+                    attrs=RequestAttributes(priority=3),
+                ),
+                request(2, 2, 0, "w", 6),
+                request(3, 1, 1, "w", 7),
+            ]
+        )
+        assert store.remove_transaction(1) == [1, 3]
+        assert store.table.rows == [(2, 2, 0, "w", 6)]
+        assert store.attrs_of(1).priority == 0
+        assert store.table.lookup(["ta"], [1]) == []
+        assert store.remove_transaction(1) == []
+
 
 class TestHistoryStore:
     def test_status_tracking(self):
@@ -161,3 +180,50 @@ class TestHistoryStore:
         store.record_batch([request(1, 1, 0, "w", 5), request(2, 1, 1, "c")])
         store.prune_finished()
         assert store.total_recorded == 2
+
+
+@pytest.fixture
+def index_calls(monkeypatch):
+    """Counts ``HashIndex.add``/``remove`` calls, across every index."""
+    calls = {"add": 0, "remove": 0}
+    for name in calls:
+        method = getattr(HashIndex, name)
+
+        def counted(self, row, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, row)
+
+        monkeypatch.setattr(HashIndex, name, counted)
+    return calls
+
+
+class TestDeleteCostShape:
+    """Deletes touch the indexes once per removed row and index, never
+    once per remaining row (the regression: every delete re-added every
+    surviving row to both the ``ta`` and ``object`` indexes)."""
+
+    LONG = 10_000
+
+    def _long_and_short(self):
+        """10,000 reads of transaction 1, then an 8-row transaction 2."""
+        rows = [request(i + 1, 1, i, "r", i) for i in range(self.LONG)]
+        base = self.LONG + 1
+        rows += [request(base + i, 2, i, "w", i) for i in range(7)]
+        rows.append(request(base + 7, 2, 7, "c"))
+        return rows
+
+    def test_prune_finished_touches_only_removed_rows(self, index_calls):
+        store = HistoryStore()
+        store.record_batch(self._long_and_short())
+        index_calls.update(add=0, remove=0)
+        assert store.prune_finished() == 8
+        assert index_calls == {"add": 0, "remove": 8 * 2}
+        assert len(store) == self.LONG
+
+    def test_remove_transaction_touches_only_removed_rows(self, index_calls):
+        store = PendingStore()
+        store.insert_batch(self._long_and_short())
+        index_calls.update(add=0, remove=0)
+        assert len(store.remove_transaction(2)) == 8
+        assert index_calls == {"add": 0, "remove": 8 * 2}
+        assert len(store) == self.LONG

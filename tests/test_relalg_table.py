@@ -1,6 +1,8 @@
 """Table storage, indexes and the catalog."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.relalg.table import Catalog, Table, TableError
 
@@ -61,6 +63,75 @@ class TestIndexes:
     def test_unknown_index_column(self, table):
         with pytest.raises(Exception):
             table.create_index("nope")
+
+
+# A tiny value domain, so equal rows (bag duplicates), shared index keys
+# and deletes of absent rows all come up often.
+_rows = st.tuples(
+    st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)
+)
+_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), _rows),
+        st.tuples(
+            st.just("delete_where"),
+            st.tuples(st.integers(0, 2), st.integers(0, 3)),
+        ),
+        st.tuples(st.just("delete_rows"), st.lists(_rows, max_size=4)),
+    ),
+    max_size=40,
+)
+
+
+class TestIndexJournalEquivalence:
+    """Deletes maintain indexes in place; the result must be exactly
+    what a rebuild gives (same keys, each bucket in table order, which
+    index-probing joins read directly), and the journal must record
+    removals in table order."""
+
+    INDEXES = (("a",), ("b",), ("a", "c"))
+
+    @given(_operations)
+    @settings(max_examples=200, deadline=None)
+    def test_indexes_and_journal_match_oracles(self, operations):
+        table = Table("t", ["a", "b", "c"])
+        for columns in self.INDEXES:
+            table.create_index(*columns)
+        cursor = table.delta_cursor()
+        model: list[tuple] = []
+        for kind, argument in operations:
+            if kind == "insert":
+                table.insert(argument)
+                model.append(argument)
+                expected = [(True, argument)]
+            elif kind == "delete_where":
+                position, value = argument
+                doomed = [row for row in model if row[position] == value]
+                assert table.delete_where(
+                    lambda row: row[position] == value
+                ) == len(doomed)
+                model = [row for row in model if row[position] != value]
+                expected = [(False, row) for row in doomed]
+            else:
+                wanted = list(argument)
+                kept, expected = [], []
+                for row in model:
+                    if row in wanted:
+                        wanted.remove(row)
+                        expected.append((False, row))
+                    else:
+                        kept.append(row)
+                assert table.delete_rows(argument) == len(expected)
+                model = kept
+            assert table.rows == model
+            assert cursor.take() == expected
+            fresh = Table("fresh", ["a", "b", "c"], table.rows)
+            for columns in self.INDEXES:
+                fresh.create_index(*columns)
+                assert (
+                    table.index_on(*columns).buckets
+                    == fresh.index_on(*columns).buckets
+                )
 
 
 class TestRelationView:
